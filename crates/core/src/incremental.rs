@@ -18,6 +18,7 @@
 //! layer feeds `advance_session` straight from its release log.
 
 use tpgnn_graph::{NodeFeatures, TemporalEdge};
+use tpgnn_obs::codec::{fmt_f64, parse_f64, parse_num, LineReader};
 use tpgnn_tensor::Tape;
 
 use crate::model::TpGnn;
@@ -60,7 +61,6 @@ impl SessionState {
     /// never left memory.
     pub fn snapshot(&self) -> String {
         use std::fmt::Write as _;
-        use tpgnn_tensor::ckpt::fmt_f64;
         let mut out = String::from("session-state v1\n");
         let _ = writeln!(out, "edges {}", self.edges.len());
         for e in &self.edges {
@@ -72,34 +72,24 @@ impl SessionState {
 
     /// Rebuild a session from [`snapshot`](Self::snapshot) output, bitwise.
     pub fn restore(text: &str) -> Result<Self, String> {
-        use tpgnn_tensor::ckpt::parse_f64;
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("session state: empty text")?;
+        Self::decode(text).map_err(|e| format!("session state: {e}"))
+    }
+
+    fn decode(text: &str) -> Result<Self, String> {
+        let mut lines = LineReader::new(text);
+        let header = lines.next().ok_or("empty text")?;
         if header != "session-state v1" {
-            return Err(format!("session state: bad header `{header}`"));
+            return Err(format!("bad header `{header}`"));
         }
-        let count_line = lines.next().ok_or("session state: missing edges line")?;
-        let n: usize = count_line
-            .strip_prefix("edges ")
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("session state: malformed edges line `{count_line}`"))?;
-        let mut edges = Vec::with_capacity(n);
-        for i in 0..n {
-            let line = lines
-                .next()
-                .ok_or_else(|| format!("session state: truncated at edge {i}"))?;
-            let toks: Vec<&str> = line.split_whitespace().collect();
-            if toks.len() != 4 || toks[0] != "e" {
-                return Err(format!("session state: malformed edge row `{line}`"));
-            }
-            edges.push(TemporalEdge {
-                src: toks[1].parse().map_err(|e| format!("session state: bad src: {e}"))?,
-                dst: toks[2].parse().map_err(|e| format!("session state: bad dst: {e}"))?,
-                time: parse_f64(toks[3]).map_err(|e| format!("session state: {e}"))?,
-            });
-        }
-        let rest: String = lines.map(|l| format!("{l}\n")).collect();
-        let prop = PropState::restore(&rest)?;
+        let n: usize = parse_num(lines.tagged_n("edges", 1)?[0])?;
+        let edges = (0..n)
+            .map(|_| {
+                let t = lines.tagged_n("e", 3)?;
+                Ok(TemporalEdge::new(parse_num(t[0])?, parse_num(t[1])?, parse_f64(t[2])?))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        // The propagation state is the rest of the text, borrowed as is.
+        let prop = PropState::restore(lines.rest())?;
         Ok(Self { prop, edges })
     }
 }
@@ -155,8 +145,7 @@ impl IncrementalScorer for TpGnn {
         let node_embeds = self.propagation.finalize_state(tape, &state.prop);
         let graph_embed = self.extractor.forward(tape, &self.store, &node_embeds, &state.edges);
         let logit = self.classifier.forward(tape, &self.store, graph_embed);
-        let z = tape.value(logit).item();
-        1.0 / (1.0 + (-z).exp())
+        crate::model::probability(tape, logit)
     }
 }
 

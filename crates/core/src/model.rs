@@ -166,20 +166,26 @@ impl TpGnn {
         self.store.num_scalars()
     }
 
+    /// The graph embedding `g = f(G)` (Definition 2) on `tape`: Algorithm 1
+    /// over `g`'s chronological edges, then the global extractor over the
+    /// same borrowed edge list.
+    fn graph_embed(&self, tape: &mut Tape, g: &mut Ctdn) -> Var {
+        g.edges_chronological(); // sort once (line 1); `edges()` then borrows that order
+        let edges = g.edges();
+        let node_embeds = self.propagation.forward(tape, &self.store, g.features(), edges);
+        self.extractor.forward(tape, &self.store, &node_embeds, edges)
+    }
+
     /// Forward pass to the classification logit (pre-sigmoid eq. 11).
     fn forward_logit(&self, tape: &mut Tape, g: &mut Ctdn) -> Var {
-        let node_embeds = self.propagation.forward(tape, &self.store, g);
-        let edges = g.edges_chronological().to_vec();
-        let graph_embed = self.extractor.forward(tape, &self.store, &node_embeds, &edges);
+        let graph_embed = self.graph_embed(tape, g);
         self.classifier.forward(tape, &self.store, graph_embed)
     }
 
     /// The graph embedding `g = f(G)` (Definition 2) as a plain tensor.
     pub fn embed_graph(&self, g: &mut Ctdn) -> Tensor {
         let mut tape = Tape::new();
-        let node_embeds = self.propagation.forward(&mut tape, &self.store, g);
-        let edges = g.edges_chronological().to_vec();
-        let emb = self.extractor.forward(&mut tape, &self.store, &node_embeds, &edges);
+        let emb = self.graph_embed(&mut tape, g);
         tape.value(emb).clone()
     }
 
@@ -235,6 +241,12 @@ impl TpGnn {
     }
 }
 
+/// The positive-class probability `σ(z)` (eq. 11) of the logit `z` on `tape`.
+pub(crate) fn probability(tape: &Tape, logit: Var) -> f32 {
+    let z = tape.value(logit).item();
+    1.0 / (1.0 + (-z).exp())
+}
+
 impl GraphClassifier for TpGnn {
     fn name(&self) -> String {
         match self.cfg.updater {
@@ -258,9 +270,9 @@ impl GraphClassifier for TpGnn {
         let mut tape = std::mem::take(&mut self.tape);
         tape.reset();
         let logit = self.forward_logit(&mut tape, g);
-        let z = tape.value(logit).item();
+        let p = probability(&tape, logit);
         self.tape = tape;
-        1.0 / (1.0 + (-z).exp())
+        p
     }
 
     fn predict_proba_batch(&mut self, graphs: &mut [Ctdn]) -> Vec<f32> {
@@ -272,8 +284,7 @@ impl GraphClassifier for TpGnn {
         tpgnn_par::map_mut(graphs, Tape::new, |tape, _i, g| {
             tape.reset();
             let logit = this.forward_logit(tape, g);
-            let z = tape.value(logit).item();
-            1.0 / (1.0 + (-z).exp())
+            probability(tape, logit)
         })
     }
 

@@ -5,12 +5,21 @@
 //! provided: SUM (eqs. 3–5) and GRU (eq. 6). The output is the local node
 //! embedding matrix `H = tanh(Ĥ)` (line 19 of Algorithm 1), materialized as
 //! one `Var` per node so downstream readouts can address endpoints directly.
+//!
+//! Algorithm 1 is written once, as three phases over tape `Var`s:
+//! [`init`](TemporalPropagation::init), [`step`](TemporalPropagation::step)
+//! and [`readout`](TemporalPropagation::readout). The batch
+//! [`forward`](TemporalPropagation::forward) drives them over a whole edge
+//! list; the incremental session functions load a stored state onto the
+//! tape, drive the same phases, and store the results back. Both paths
+//! therefore run the same arithmetic by construction.
 
 use tpgnn_rng::rngs::StdRng;
 use tpgnn_rng::seq::SliceRandom;
 use tpgnn_rng::SeedableRng;
-use tpgnn_graph::{Ctdn, NodeFeatures, TemporalEdge};
+use tpgnn_graph::{NodeFeatures, TemporalEdge};
 use tpgnn_nn::{GruCell, Linear, Time2Vec};
+use tpgnn_obs::codec::{fmt_f32, parse_f32, parse_num, LineReader};
 use tpgnn_tensor::{ParamStore, Tape, Tensor, Var};
 
 use crate::config::{PropagationKind, TpGnnConfig, UpdaterKind};
@@ -34,7 +43,7 @@ pub struct TemporalPropagation {
     /// design, so tick handout order does not need to be schedule-stable.
     rand_counter: std::sync::atomic::AtomicU64,
     rand_seed: u64,
-    /// Constant pre-scaling of the SUM updater's inputs (see `sweep`).
+    /// Constant pre-scaling of the SUM updater's inputs (see `init`).
     sum_scale: f32,
 }
 
@@ -65,9 +74,8 @@ impl TemporalPropagation {
     }
 
     /// Embed every node's raw features (eq. 1) and return one `(1, q)` `Var`
-    /// per node. One matmul over the full feature matrix, then per-node row
-    /// extraction — the incremental path reuses this verbatim so its initial
-    /// states are bitwise-identical to the batch sweep's.
+    /// per node: one matmul over the full feature matrix, then per-node row
+    /// extraction.
     fn embed_nodes(&self, tape: &mut Tape, store: &ParamStore, features: &NodeFeatures) -> Vec<Var> {
         let n = features.num_nodes();
         let q = features.dim();
@@ -77,107 +85,121 @@ impl TemporalPropagation {
         (0..n).map(|v| tape.row(embedded, v)).collect()
     }
 
-    /// Run the propagation sweep, returning the local node embedding vectors
-    /// `h(v)` (already passed through `tanh`, line 19 of Algorithm 1).
-    pub fn forward(&self, tape: &mut Tape, store: &ParamStore, g: &mut Ctdn) -> Vec<Var> {
-        let node_embeds = self.embed_nodes(tape, store, g.features());
-        match self.kind {
-            PropagationKind::None => {
-                // `w/o tem`: the embedded raw features are the node states.
-                node_embeds.iter().map(|&h| tape.tanh(h)).collect()
-            }
-            PropagationKind::Temporal => {
-                let edges = g.edges_chronological().to_vec();
-                self.sweep(tape, store, node_embeds, &edges)
-            }
-            PropagationKind::Random => {
-                // `rand` ablation: neighbors aggregated in a random order;
-                // timestamps carry no meaning, so the edge list is permuted.
-                let mut edges = g.edges_chronological().to_vec();
-                let tick = self.rand_counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let mut rng = StdRng::seed_from_u64(self.rand_seed ^ (tick.wrapping_mul(0x9e37_79b9)));
-                edges.shuffle(&mut rng);
-                self.sweep(tape, store, node_embeds, &edges)
-            }
-        }
-    }
-
-    /// The inner message-passing loop of Algorithm 1 over a fixed edge order.
-    fn sweep(
+    /// Run Algorithm 1 over `features` and `edges` (already in chronological
+    /// order, line 1), returning the local node embedding vectors `h(v)`
+    /// (already passed through `tanh`, line 19).
+    pub fn forward(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        node_embeds: Vec<Var>,
+        features: &NodeFeatures,
         edges: &[TemporalEdge],
     ) -> Vec<Var> {
+        let rows = self.embed_nodes(tape, store, features);
+        let (mut x, mut m) = self.init(tape, rows);
+        let shuffled: Vec<TemporalEdge>;
+        let edges = match self.kind {
+            // `w/o tem`: the embedded raw features are the node states.
+            PropagationKind::None => &[],
+            PropagationKind::Temporal => edges,
+            PropagationKind::Random => {
+                // `rand` ablation: neighbors aggregated in a random order;
+                // timestamps carry no meaning, so the edge list is permuted.
+                let mut order = edges.to_vec();
+                let tick = self.rand_counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let mut rng = StdRng::seed_from_u64(self.rand_seed ^ (tick.wrapping_mul(0x9e37_79b9)));
+                order.shuffle(&mut rng);
+                shuffled = order;
+                &shuffled
+            }
+        };
+        for e in edges {
+            let m_dst = m.as_ref().map(|m| m[e.dst]);
+            let (x_dst, m_dst) = self.step(tape, store, x[e.src], x[e.dst], m_dst, e.time);
+            x[e.dst] = x_dst;
+            if let (Some(m), Some(m_dst)) = (m.as_mut(), m_dst) {
+                m[e.dst] = m_dst;
+            }
+        }
+        (0..x.len()).map(|v| self.readout(tape, x[v], m.as_ref().map(|m| m[v]))).collect()
+    }
+
+    /// Initialization of Algorithm 1 from the embedded rows `X`: per-node
+    /// `X̂` and, for SUM with time encoding, `M̂`.
+    fn init(&self, tape: &mut Tape, rows: Vec<Var>) -> (Vec<Var>, Option<Vec<Var>>) {
+        if matches!(self.kind, PropagationKind::None) || matches!(self.updater, Updater::Gru(_)) {
+            // `w/o tem` keeps the rows; GRU: ĥ_{t_0}(v) := X(v) (line 13).
+            return (rows, None);
+        }
+        // X̂_{t_0} := X (line 5); M̂_{t_0} := 0 (line 4).
+        // Numerical stability at laptop scale: eqs. 3–4 accumulate
+        // unboundedly, and with the repeated-interaction density of
+        // HDFS/Brightkite the accumulated sums leave tanh's active range
+        // within a few edges, freezing gradients. Scaling the (learnable)
+        // embedding and time-encoding outputs by a constant folds into
+        // their initialization — same model family, usable conditioning.
+        // See DESIGN.md §2.
+        let x: Vec<Var> = rows.iter().map(|&r| tape.scale(r, self.sum_scale)).collect();
+        let m = self
+            .t2v
+            .as_ref()
+            .map(|_| (0..x.len()).map(|_| tape.input(Tensor::zeros(1, self.time_dim))).collect());
+        (x, m)
+    }
+
+    /// The loop body of Algorithm 1 for one edge `u → v` at time `t`: from
+    /// the source state `src` and the destination's `dst` (plus `m_dst` for
+    /// SUM with time encoding), the destination's new state.
+    fn step(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        src: Var,
+        dst: Var,
+        m_dst: Option<Var>,
+        t: f64,
+    ) -> (Var, Option<Var>) {
         match &self.updater {
             Updater::Sum => {
-                // X̂_{t_0} := X (line 5); M̂_{t_0} := 0 (line 4).
-                // Numerical stability at laptop scale: eqs. 3–4 accumulate
-                // unboundedly, and with the repeated-interaction density of
-                // HDFS/Brightkite the accumulated sums leave tanh's active
-                // range within a few edges, freezing gradients. Scaling the
-                // (learnable) embedding and time-encoding outputs by a
-                // constant folds into their initialization — same model
-                // family, usable conditioning. See DESIGN.md §2.
-                let mut x_hat: Vec<Var> = node_embeds
-                    .iter()
-                    .map(|&h| tape.scale(h, self.sum_scale))
-                    .collect();
-                let mut m_hat: Option<Vec<Var>> = self.t2v.as_ref().map(|_| {
-                    (0..x_hat.len())
-                        .map(|_| tape.input(Tensor::zeros(1, self.time_dim)))
-                        .collect()
-                });
-                for e in edges {
-                    // X̂(v) := X̂(u) + X̂(v)                         (eq. 3)
-                    x_hat[e.dst] = tape.add(x_hat[e.src], x_hat[e.dst]);
-                    if let (Some(t2v), Some(m)) = (self.t2v.as_ref(), m_hat.as_mut()) {
-                        // M̂(v) := f(t) + M̂(v)                      (eq. 4)
-                        let ft_raw = t2v.encode(tape, store, e.time);
+                // X̂(v) := X̂(u) + X̂(v)                                  (eq. 3)
+                let x = tape.add(src, dst);
+                let m = match (self.t2v.as_ref(), m_dst) {
+                    (Some(t2v), Some(m_dst)) => {
+                        // M̂(v) := f(t) + M̂(v)                           (eq. 4)
+                        let ft_raw = t2v.encode(tape, store, t);
                         let ft = tape.scale(ft_raw, self.sum_scale);
-                        m[e.dst] = tape.add(ft, m[e.dst]);
+                        Some(tape.add(ft, m_dst))
                     }
-                }
-                // Ĥ := X̂ ⊕ M̂ (eq. 5); H := tanh(Ĥ) (line 19).
-                x_hat
-                    .into_iter()
-                    .enumerate()
-                    .map(|(v, x)| {
-                        let h = match &m_hat {
-                            Some(m) => tape.concat_cols(x, m[v]),
-                            None => x,
-                        };
-                        tape.tanh(h)
-                    })
-                    .collect()
+                    _ => None,
+                };
+                (x, m)
             }
             Updater::Gru(cell) => {
-                // ĥ_{t_0}(v) := X(v) (line 13).
-                let mut h = node_embeds;
-                for e in edges {
-                    // ĥ(v) := GRU(ĥ(v), [ĥ(u) ⊕ f(t)])              (eq. 6)
-                    let msg = match self.t2v.as_ref() {
-                        Some(t2v) => {
-                            let ft = t2v.encode(tape, store, e.time);
-                            tape.concat_cols(h[e.src], ft)
-                        }
-                        None => h[e.src],
-                    };
-                    h[e.dst] = cell.forward(tape, store, h[e.dst], msg);
-                }
-                h.into_iter().map(|hv| tape.tanh(hv)).collect()
+                // ĥ(v) := GRU(ĥ(v), [ĥ(u) ⊕ f(t)])                       (eq. 6)
+                let msg = match self.t2v.as_ref() {
+                    Some(t2v) => {
+                        let ft = t2v.encode(tape, store, t);
+                        tape.concat_cols(src, ft)
+                    }
+                    None => src,
+                };
+                (cell.forward(tape, store, dst, msg), None)
             }
         }
     }
 
-    /// Initialize incremental per-node propagation state for one session.
-    ///
-    /// Runs exactly the batch sweep's initialization — embed all node
-    /// features in one matmul (eq. 1), then pre-scale (SUM) or keep (GRU)
-    /// per-node rows — and stores the *values*, so per-edge
-    /// [`advance_state`](Self::advance_state) calls continue the identical
-    /// arithmetic. The `rand` ablation re-permutes the edge order on every
+    /// Ĥ(v) := X̂(v) ⊕ M̂(v) (eq. 5), then H(v) := tanh(Ĥ(v)) (line 19).
+    fn readout(&self, tape: &mut Tape, x: Var, m: Option<Var>) -> Var {
+        let h = match m {
+            Some(m) => tape.concat_cols(x, m),
+            None => x,
+        };
+        tape.tanh(h)
+    }
+
+    /// Open incremental per-node propagation state for one session: embed
+    /// the features (eq. 1), run [`init`](Self::init), and store the
+    /// values. The `rand` ablation re-permutes the edge order on every
     /// forward call, so it has no well-defined incremental form and is
     /// rejected.
     pub(crate) fn init_state(
@@ -199,45 +221,20 @@ impl TemporalPropagation {
             ));
         }
         let rows = self.embed_nodes(tape, store, features);
-        let state = match (self.kind, &self.updater) {
-            // `w/o tem`: edges never touch the node states.
-            (PropagationKind::None, _) => PropState {
-                frozen: true,
-                sum: false,
-                x: rows.iter().map(|&r| tape.value(r).clone()).collect(),
-                m: None,
-            },
-            (_, Updater::Sum) => PropState {
-                frozen: false,
-                sum: true,
-                // X̂_{t_0} := X (line 5), pre-scaled exactly as in `sweep`.
-                x: rows
-                    .iter()
-                    .map(|&r| {
-                        let s = tape.scale(r, self.sum_scale);
-                        tape.value(s).clone()
-                    })
-                    .collect(),
-                // M̂_{t_0} := 0 (line 4).
-                m: self
-                    .t2v
-                    .as_ref()
-                    .map(|_| (0..rows.len()).map(|_| Tensor::zeros(1, self.time_dim)).collect()),
-            },
-            (_, Updater::Gru(_)) => PropState {
-                frozen: false,
-                sum: false,
-                // ĥ_{t_0}(v) := X(v) (line 13).
-                x: rows.iter().map(|&r| tape.value(r).clone()).collect(),
-                m: None,
-            },
-        };
-        Ok(state)
+        let (x, m) = self.init(tape, rows);
+        let frozen = matches!(self.kind, PropagationKind::None);
+        let values =
+            |tape: &Tape, vars: Vec<Var>| vars.iter().map(|&v| tape.value(v).clone()).collect();
+        Ok(PropState {
+            frozen,
+            sum: !frozen && matches!(self.updater, Updater::Sum),
+            x: values(tape, x),
+            m: m.map(|m| values(tape, m)),
+        })
     }
 
-    /// Advance the incremental state one step for edge `e` — the loop body
-    /// of Algorithm 1 (eqs. 3–4 for SUM, eq. 6 for GRU) applied to stored
-    /// values. Edges must arrive in the chronological order the batch sweep
+    /// Advance the incremental state one [`step`](Self::step) for edge `e`.
+    /// Edges must arrive in the chronological order the batch forward pass
     /// would use; the streaming builder's release order guarantees this.
     pub(crate) fn advance_state(
         &self,
@@ -249,55 +246,24 @@ impl TemporalPropagation {
         if state.frozen {
             return; // `w/o tem`: node states ignore edges.
         }
-        if state.sum {
-            // X̂(v) := X̂(u) + X̂(v)                                  (eq. 3)
-            let xs = tape.input(state.x[e.src].clone());
-            let xd = tape.input(state.x[e.dst].clone());
-            let sum = tape.add(xs, xd);
-            state.x[e.dst] = tape.value(sum).clone();
-            if let (Some(t2v), Some(m)) = (self.t2v.as_ref(), state.m.as_mut()) {
-                // M̂(v) := f(t) + M̂(v)                               (eq. 4)
-                let ft_raw = t2v.encode(tape, store, e.time);
-                let ft = tape.scale(ft_raw, self.sum_scale);
-                let md = tape.input(m[e.dst].clone());
-                let acc = tape.add(ft, md);
-                m[e.dst] = tape.value(acc).clone();
-            }
-        } else {
-            // ĥ(v) := GRU(ĥ(v), [ĥ(u) ⊕ f(t)])                       (eq. 6)
-            let Updater::Gru(cell) = &self.updater else {
-                unreachable!("non-frozen, non-sum state implies the GRU updater");
-            };
-            let hs = tape.input(state.x[e.src].clone());
-            let hd = tape.input(state.x[e.dst].clone());
-            let msg = match self.t2v.as_ref() {
-                Some(t2v) => {
-                    let ft = t2v.encode(tape, store, e.time);
-                    tape.concat_cols(hs, ft)
-                }
-                None => hs,
-            };
-            let out = cell.forward(tape, store, hd, msg);
-            state.x[e.dst] = tape.value(out).clone();
+        let src = tape.input(state.x[e.src].clone());
+        let dst = tape.input(state.x[e.dst].clone());
+        let m_dst = state.m.as_ref().map(|m| tape.input(m[e.dst].clone()));
+        let (x_dst, m_dst) = self.step(tape, store, src, dst, m_dst, e.time);
+        state.x[e.dst] = tape.value(x_dst).clone();
+        if let (Some(m), Some(m_dst)) = (state.m.as_mut(), m_dst) {
+            m[e.dst] = tape.value(m_dst).clone();
         }
     }
 
-    /// Materialize the final node embeddings `H = tanh(Ĥ)` (line 19, eq. 5
-    /// concat for SUM) from the incremental state, as one `Var` per node in
-    /// node-index order — the exact tensors the batch sweep hands the
-    /// global extractor.
+    /// The final node embeddings from the incremental state: one
+    /// [`readout`](Self::readout) per node, in node-index order.
     pub(crate) fn finalize_state(&self, tape: &mut Tape, state: &PropState) -> Vec<Var> {
         (0..state.x.len())
             .map(|v| {
                 let x = tape.input(state.x[v].clone());
-                let h = match &state.m {
-                    Some(m) => {
-                        let mv = tape.input(m[v].clone());
-                        tape.concat_cols(x, mv)
-                    }
-                    None => x,
-                };
-                tape.tanh(h)
+                let m = state.m.as_ref().map(|m| tape.input(m[v].clone()));
+                self.readout(tape, x, m)
             })
             .collect()
     }
@@ -331,7 +297,6 @@ impl PropState {
     /// evicted sessions indistinguishable from resident ones.
     pub fn snapshot(&self) -> String {
         use std::fmt::Write as _;
-        use tpgnn_tensor::ckpt::fmt_f32;
         let xd = self.x.first().map_or(0, |t| t.shape().1);
         let md = self.m.as_ref().and_then(|m| m.first()).map(|t| t.shape().1);
         let mut out = String::from("prop-state v1\n");
@@ -344,68 +309,43 @@ impl PropState {
             xd,
             md.map_or("-".to_string(), |d| d.to_string())
         );
-        for row in &self.x {
-            out.push('x');
+        let m_rows = self.m.iter().flatten().map(|row| ('m', row));
+        for (tag, row) in self.x.iter().map(|row| ('x', row)).chain(m_rows) {
+            out.push(tag);
             for v in row.data() {
                 out.push(' ');
                 out.push_str(&fmt_f32(*v));
             }
             out.push('\n');
         }
-        if let Some(m) = &self.m {
-            for row in m {
-                out.push('m');
-                for v in row.data() {
-                    out.push(' ');
-                    out.push_str(&fmt_f32(*v));
-                }
-                out.push('\n');
-            }
-        }
         out
     }
 
     /// Rebuild a state from [`snapshot`](Self::snapshot) output, bitwise.
     pub fn restore(text: &str) -> Result<Self, String> {
-        use tpgnn_tensor::ckpt::parse_f32;
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("prop state: empty text")?;
-        if header != "prop-state v1" {
-            return Err(format!("prop state: bad header `{header}`"));
-        }
-        let meta = lines.next().ok_or("prop state: missing meta line")?;
-        let toks: Vec<&str> = meta.split_whitespace().collect();
-        if toks.len() != 6 || toks[0] != "meta" {
-            return Err(format!("prop state: malformed meta line `{meta}`"));
-        }
-        let flag = |tok: &str| -> Result<bool, String> {
-            match tok {
-                "0" => Ok(false),
-                "1" => Ok(true),
-                other => Err(format!("prop state: bad flag `{other}`")),
-            }
-        };
-        let num = |tok: &str| -> Result<usize, String> {
-            tok.parse().map_err(|e| format!("prop state: bad count `{tok}`: {e}"))
-        };
-        let (frozen, sum, n, xd) = (flag(toks[1])?, flag(toks[2])?, num(toks[3])?, num(toks[4])?);
-        let md = if toks[5] == "-" { None } else { Some(num(toks[5])?) };
+        Self::decode(text).map_err(|e| format!("prop state: {e}"))
+    }
 
+    fn decode(text: &str) -> Result<Self, String> {
+        let mut lines = LineReader::new(text);
+        let header = lines.next().ok_or("empty text")?;
+        if header != "prop-state v1" {
+            return Err(format!("bad header `{header}`"));
+        }
+        let meta = lines.tagged_n("meta", 5)?;
+        let flag = |tok: &str| match tok {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            other => Err(format!("bad flag `{other}`")),
+        };
+        let (frozen, sum) = (flag(meta[0])?, flag(meta[1])?);
+        let (n, xd): (usize, usize) = (parse_num(meta[2])?, parse_num(meta[3])?);
+        let md: Option<usize> = if meta[4] == "-" { None } else { Some(parse_num(meta[4])?) };
         let mut read_rows = |tag: &str, dim: usize| -> Result<Vec<Tensor>, String> {
             (0..n)
-                .map(|i| {
-                    let line = lines
-                        .next()
-                        .ok_or_else(|| format!("prop state: truncated at `{tag}` row {i}"))?;
-                    let toks: Vec<&str> = line.split_whitespace().collect();
-                    if toks.first() != Some(&tag) || toks.len() != dim + 1 {
-                        return Err(format!("prop state: malformed `{tag}` row `{line}`"));
-                    }
-                    let vals = toks[1..]
-                        .iter()
-                        .map(|t| parse_f32(t))
-                        .collect::<Result<Vec<f32>, _>>()
-                        .map_err(|e| format!("prop state: {e}"))?;
+                .map(|_| {
+                    let toks = lines.tagged_n(tag, dim)?;
+                    let vals = toks.iter().map(|t| parse_f32(t)).collect::<Result<_, _>>()?;
                     Ok(Tensor::from_vec(1, dim, vals))
                 })
                 .collect()
@@ -419,13 +359,23 @@ impl PropState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpgnn_graph::NodeFeatures;
+    use tpgnn_graph::{Ctdn, NodeFeatures};
 
     fn make(cfg: &TpGnnConfig) -> (ParamStore, TemporalPropagation) {
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let tp = TemporalPropagation::new(&mut store, cfg, &mut rng);
         (store, tp)
+    }
+
+    fn forward(
+        tp: &TemporalPropagation,
+        tape: &mut Tape,
+        store: &ParamStore,
+        g: &mut Ctdn,
+    ) -> Vec<Var> {
+        let edges = g.edges_chronological().to_vec();
+        tp.forward(tape, store, g.features(), &edges)
     }
 
     fn chain_graph(n: usize) -> Ctdn {
@@ -446,7 +396,7 @@ mod tests {
         let (store, tp) = make(&cfg);
         let mut g = chain_graph(5);
         let mut tape = Tape::new();
-        let h = tp.forward(&mut tape, &store, &mut g);
+        let h = forward(&tp, &mut tape, &store, &mut g);
         assert_eq!(h.len(), 5);
         for hv in &h {
             assert_eq!(hv.shape(), (1, 38)); // embed 32 + time 6
@@ -460,7 +410,7 @@ mod tests {
         let (store, tp) = make(&cfg);
         let mut g = chain_graph(4);
         let mut tape = Tape::new();
-        let h = tp.forward(&mut tape, &store, &mut g);
+        let h = forward(&tp, &mut tape, &store, &mut g);
         assert_eq!(h.len(), 4);
         for hv in &h {
             assert_eq!(hv.shape(), (1, 32));
@@ -487,7 +437,7 @@ mod tests {
 
             let run = |store: &ParamStore, g: &mut Ctdn| -> Vec<Tensor> {
                 let mut tape = Tape::new();
-                let h = tp.forward(&mut tape, store, g);
+                let h = forward(&tp, &mut tape, store, g);
                 h.iter().map(|&hv| tape.value(hv).clone()).collect()
             };
             let base = run(&store, &mut g);
@@ -538,7 +488,7 @@ mod tests {
 
         let run = |g: &mut Ctdn| -> Vec<Tensor> {
             let mut tape = Tape::new();
-            let h = tp.forward(&mut tape, &store, g);
+            let h = forward(&tp, &mut tape, &store, g);
             h.iter().map(|&hv| tape.value(hv).clone()).collect()
         };
         let ha = run(&mut ga);
@@ -556,7 +506,7 @@ mod tests {
         let mut g = chain_graph(8);
         let run = |g: &mut Ctdn| -> Tensor {
             let mut tape = Tape::new();
-            let h = tp.forward(&mut tape, &store, g);
+            let h = forward(&tp, &mut tape, &store, g);
             let vals: Vec<Tensor> = h.iter().map(|&hv| tape.value(hv).clone()).collect();
             Tensor::stack_rows(&vals)
         };
@@ -577,7 +527,7 @@ mod tests {
         g2.try_add_edge(0, 4, 10.0).unwrap();
         let run = |g: &mut Ctdn| -> Tensor {
             let mut tape = Tape::new();
-            let h = tp.forward(&mut tape, &store, g);
+            let h = forward(&tp, &mut tape, &store, g);
             let vals: Vec<Tensor> = h.iter().map(|&hv| tape.value(hv).clone()).collect();
             Tensor::stack_rows(&vals)
         };
@@ -597,9 +547,76 @@ mod tests {
         g2.try_add_edge(0, 1, 2.0).unwrap();
         let run = |g: &mut Ctdn| -> Tensor {
             let mut tape = Tape::new();
-            let h = tp.forward(&mut tape, &store, g);
+            let h = forward(&tp, &mut tape, &store, g);
             tape.value(h[1]).clone()
         };
         assert!(run(&mut g1).sub(&run(&mut g2)).max_abs() > 1e-6);
+    }
+
+    /// The builder and propagation-state snapshot formats are spilled,
+    /// journaled and recovered, so their bytes are pinned here literally.
+    #[test]
+    fn snapshot_formats_are_pinned() {
+        use tpgnn_graph::stream::{CtdnBuilder, StreamConfig, StreamEvent};
+
+        let cfg = StreamConfig { lateness: 1.0, track_releases: true, ..StreamConfig::default() };
+        let mut b = CtdnBuilder::with_zero_features(3, 2, cfg.clone());
+        for ev in [
+            StreamEvent::new(0, 1, 1.0),
+            StreamEvent::new(0, 1, 1.0),
+            StreamEvent::new(0, 9, 2.0),
+            StreamEvent::from_origin(1, 2, 3.5, 4),
+        ] {
+            b.push(ev);
+        }
+        let text = b.snapshot();
+        assert_eq!(
+            text,
+            concat!(
+                "ctdn-builder v1\n",
+                "meta 4 400c000000000000 3ff0000000000000\n",
+                "stats 4 1 2 0 2\n",
+                "edges 1\n",
+                "e 0 1 3ff0000000000000\n",
+                "buffer 1\n",
+                "b 4 1 2 4615063718147915776 4\n",
+                "seen 2\n",
+                "s 4607182418800017408 0 1\n",
+                "s 4615063718147915776 1 2\n",
+                "origins 2\n",
+                "o 0 3ff0000000000000\n",
+                "o 4 400c000000000000\n",
+                "pending 1\n",
+                "p 0 1 3ff0000000000000 0\n",
+                "quarantine 2\n",
+                "q 2 0 1 3ff0000000000000 0 dup\n",
+                "q 3 0 9 4000000000000000 0 mal-dst 9 3\n",
+            )
+        );
+        let back = CtdnBuilder::restore(b.features().clone(), cfg, &text).unwrap();
+        assert_eq!(back.snapshot(), text);
+
+        let state = PropState {
+            frozen: false,
+            sum: true,
+            x: vec![
+                Tensor::from_vec(1, 2, vec![1.0, -0.0]),
+                Tensor::from_vec(1, 2, vec![0.5, f32::NAN]),
+            ],
+            m: Some(vec![Tensor::from_vec(1, 1, vec![2.0]), Tensor::from_vec(1, 1, vec![-1.5])]),
+        };
+        let text = state.snapshot();
+        assert_eq!(
+            text,
+            concat!(
+                "prop-state v1\n",
+                "meta 0 1 2 2 1\n",
+                "x 3f800000 80000000\n",
+                "x 3f000000 7fc00000\n",
+                "m 40000000\n",
+                "m bfc00000\n",
+            )
+        );
+        assert_eq!(PropState::restore(&text).unwrap().snapshot(), text);
     }
 }

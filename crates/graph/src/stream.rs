@@ -32,6 +32,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 use std::sync::OnceLock;
 
+use tpgnn_obs::codec::{fmt_f64, parse_f64, parse_num, LineReader};
 use tpgnn_obs::metrics::{self, Counter, Histogram};
 
 use crate::ctdn::{Ctdn, GraphError, NodeFeatures};
@@ -648,8 +649,8 @@ impl CtdnBuilder {
             out,
             "meta {} {} {}",
             self.seq,
-            hex64(self.max_seen),
-            hex64(self.frontier)
+            fmt_f64(self.max_seen),
+            fmt_f64(self.frontier)
         );
         let _ = writeln!(
             out,
@@ -663,7 +664,7 @@ impl CtdnBuilder {
         let edges = self.graph.edges();
         let _ = writeln!(out, "edges {}", edges.len());
         for e in edges {
-            let _ = writeln!(out, "e {} {} {}", e.src, e.dst, hex64(e.time));
+            let _ = writeln!(out, "e {} {} {}", e.src, e.dst, fmt_f64(e.time));
         }
         // The heap iterates in arbitrary order; serialize in release order
         // (time bits, then arrival seq) so the text is deterministic.
@@ -679,11 +680,11 @@ impl CtdnBuilder {
         }
         let _ = writeln!(out, "origins {}", self.origin_max.len());
         for (origin, max) in &self.origin_max {
-            let _ = writeln!(out, "o {} {}", origin, hex64(*max));
+            let _ = writeln!(out, "o {} {}", origin, fmt_f64(*max));
         }
         let _ = writeln!(out, "pending {}", self.released_pending.len());
         for ev in &self.released_pending {
-            let _ = writeln!(out, "p {} {} {} {}", ev.src, ev.dst, hex64(ev.time), ev.origin);
+            let _ = writeln!(out, "p {} {} {} {}", ev.src, ev.dst, fmt_f64(ev.time), ev.origin);
         }
         let _ = writeln!(out, "quarantine {}", self.log.entries.len());
         for q in &self.log.entries {
@@ -693,7 +694,7 @@ impl CtdnBuilder {
                 q.seq,
                 q.event.src,
                 q.event.dst,
-                hex64(q.event.time),
+                fmt_f64(q.event.time),
                 q.event.origin,
                 fmt_reason(&q.reason)
             );
@@ -710,18 +711,22 @@ impl CtdnBuilder {
     /// stream accounting, which are restored from the snapshot's own
     /// `stats` line instead.
     pub fn restore(features: NodeFeatures, cfg: StreamConfig, text: &str) -> Result<Self, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("builder snapshot: empty text")?;
+        Self::decode(features, cfg, text).map_err(|e| format!("builder snapshot: {e}"))
+    }
+
+    fn decode(features: NodeFeatures, cfg: StreamConfig, text: &str) -> Result<Self, String> {
+        let mut lines = LineReader::new(text);
+        let header = lines.next().ok_or("empty text")?;
         if header != "ctdn-builder v1" {
-            return Err(format!("builder snapshot: bad header `{header}`"));
+            return Err(format!("bad header `{header}`"));
         }
-        let meta = tagged(lines.next(), "meta", 3)?;
-        let stats_line = tagged(lines.next(), "stats", 5)?;
+        let meta = lines.tagged_n("meta", 3)?;
+        let stats_line = lines.tagged_n("stats", 5)?;
 
         let mut b = Self::new(features, cfg);
         b.seq = parse_num(meta[0])?;
-        b.max_seen = parse_hex64(meta[1])?;
-        b.frontier = parse_hex64(meta[2])?;
+        b.max_seen = parse_f64(meta[1])?;
+        b.frontier = parse_f64(meta[2])?;
         b.stats = StreamStats {
             received: parse_num(stats_line[0])?,
             released: parse_num(stats_line[1])?,
@@ -732,10 +737,10 @@ impl CtdnBuilder {
 
         for t in section(&mut lines, "edges", "e", 3)? {
             let (src, dst) = (parse_num(&t[0])?, parse_num(&t[1])?);
-            let time = parse_hex64(&t[2])?;
+            let time = parse_f64(&t[2])?;
             b.graph
                 .try_add_edge(src, dst, time)
-                .map_err(|e| format!("builder snapshot: invalid edge: {e}"))?;
+                .map_err(|e| format!("invalid edge: {e}"))?;
         }
         for t in section(&mut lines, "buffer", "b", 5)? {
             let bits: u64 = parse_num(&t[3])?;
@@ -751,13 +756,13 @@ impl CtdnBuilder {
             b.seen.insert((parse_num(&t[0])?, parse_num(&t[1])?, parse_num(&t[2])?));
         }
         for t in section(&mut lines, "origins", "o", 2)? {
-            b.origin_max.insert(parse_num(&t[0])?, parse_hex64(&t[1])?);
+            b.origin_max.insert(parse_num(&t[0])?, parse_f64(&t[1])?);
         }
         for t in section(&mut lines, "pending", "p", 4)? {
             b.released_pending.push(StreamEvent {
                 src: parse_num(&t[0])?,
                 dst: parse_num(&t[1])?,
-                time: parse_hex64(&t[2])?,
+                time: parse_f64(&t[2])?,
                 origin: parse_num(&t[3])?,
             });
         }
@@ -768,7 +773,7 @@ impl CtdnBuilder {
                 event: StreamEvent {
                     src: parse_num(&t[1])?,
                     dst: parse_num(&t[2])?,
-                    time: parse_hex64(&t[3])?,
+                    time: parse_f64(&t[3])?,
                     origin: parse_num(&t[4])?,
                 },
                 reason: parse_reason(&t[5])?,
@@ -777,7 +782,7 @@ impl CtdnBuilder {
         b.log = QuarantineLog::from_entries(entries);
         if b.log.len() != b.stats.quarantined {
             return Err(format!(
-                "builder snapshot: quarantine log has {} entries but stats recorded {}",
+                "quarantine log has {} entries but stats recorded {}",
                 b.log.len(),
                 b.stats.quarantined
             ));
@@ -786,53 +791,22 @@ impl CtdnBuilder {
     }
 }
 
-/// Bit-exact `f64` wire encoding, local to this crate (the graph layer does
-/// not depend on `tpgnn-tensor`, which hosts the shared codec).
-fn hex64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_hex64(tok: &str) -> Result<f64, String> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("builder snapshot: bad f64 bits `{tok}`: {e}"))
-}
-
-fn parse_num<T: std::str::FromStr>(tok: &str) -> Result<T, String>
-where
-    T::Err: fmt::Display,
-{
-    tok.parse().map_err(|e| format!("builder snapshot: bad number `{tok}`: {e}"))
-}
-
-/// Expect `line` to be `<tag> <tok0> ... <tokN-1>` and return the tokens.
-fn tagged<'a>(line: Option<&'a str>, tag: &str, want: usize) -> Result<Vec<&'a str>, String> {
-    let line = line.ok_or_else(|| format!("builder snapshot: missing `{tag}` line"))?;
-    let toks: Vec<&str> = line.split_whitespace().collect();
-    if toks.first() != Some(&tag) || toks.len() != want + 1 {
-        return Err(format!("builder snapshot: malformed `{tag}` line `{line}`"));
-    }
-    Ok(toks[1..].to_vec())
-}
-
 /// Read a `<name> <n>` section header followed by `n` lines tagged `item`,
 /// each with at least `min` tokens after the tag (the last token may itself
 /// contain spaces for reason payloads, so it is returned joined).
-fn section<'a>(
-    lines: &mut std::str::Lines<'a>,
+fn section(
+    lines: &mut LineReader<'_>,
     name: &str,
     item: &str,
     min: usize,
 ) -> Result<Vec<Vec<String>>, String> {
-    let n: usize = parse_num(tagged(lines.next(), name, 1)?[0])?;
+    let n: usize = parse_num(lines.tagged_n(name, 1)?[0])?;
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
-        let line = lines
-            .next()
-            .ok_or_else(|| format!("builder snapshot: truncated `{name}` section"))?;
+        let line = lines.next().ok_or_else(|| format!("truncated `{name}` section"))?;
         let toks: Vec<&str> = line.split_whitespace().collect();
         if toks.first() != Some(&item) || toks.len() < min + 1 {
-            return Err(format!("builder snapshot: malformed `{name}` row `{line}`"));
+            return Err(format!("malformed `{name}` row `{line}`"));
         }
         let mut row: Vec<String> = toks[1..min].iter().map(|s| s.to_string()).collect();
         row.push(toks[min..].join(" "));
@@ -844,21 +818,21 @@ fn section<'a>(
 fn fmt_reason(r: &RejectReason) -> String {
     match r {
         RejectReason::LateEvent { time, watermark } => {
-            format!("late {} {}", hex64(*time), hex64(*watermark))
+            format!("late {} {}", fmt_f64(*time), fmt_f64(*watermark))
         }
         RejectReason::Duplicate => "dup".to_string(),
         RejectReason::NonMonotonicClock { time, origin_max } => {
-            format!("clock {} {}", hex64(*time), hex64(*origin_max))
+            format!("clock {} {}", fmt_f64(*time), fmt_f64(*origin_max))
         }
         RejectReason::Malformed(GraphError::EndpointOutOfBounds { endpoint, index, num_nodes }) => {
             let side = if *endpoint == "source" { "mal-src" } else { "mal-dst" };
             format!("{side} {index} {num_nodes}")
         }
         RejectReason::Malformed(GraphError::BadTimestamp { time }) => {
-            format!("mal-time {}", hex64(*time))
+            format!("mal-time {}", fmt_f64(*time))
         }
         RejectReason::BufferOverflow { time, frontier } => {
-            format!("overflow {} {}", hex64(*time), hex64(*frontier))
+            format!("overflow {} {}", fmt_f64(*time), fmt_f64(*frontier))
         }
     }
 }
@@ -869,15 +843,15 @@ fn parse_reason(tok: &str) -> Result<RejectReason, String> {
         if parts.len() == n {
             Ok(())
         } else {
-            Err(format!("builder snapshot: malformed reason `{tok}`"))
+            Err(format!("malformed reason `{tok}`"))
         }
     };
     match parts.first().copied() {
         Some("late") => {
             want(3)?;
             Ok(RejectReason::LateEvent {
-                time: parse_hex64(parts[1])?,
-                watermark: parse_hex64(parts[2])?,
+                time: parse_f64(parts[1])?,
+                watermark: parse_f64(parts[2])?,
             })
         }
         Some("dup") => {
@@ -887,8 +861,8 @@ fn parse_reason(tok: &str) -> Result<RejectReason, String> {
         Some("clock") => {
             want(3)?;
             Ok(RejectReason::NonMonotonicClock {
-                time: parse_hex64(parts[1])?,
-                origin_max: parse_hex64(parts[2])?,
+                time: parse_f64(parts[1])?,
+                origin_max: parse_f64(parts[2])?,
             })
         }
         Some(side @ ("mal-src" | "mal-dst")) => {
@@ -901,16 +875,16 @@ fn parse_reason(tok: &str) -> Result<RejectReason, String> {
         }
         Some("mal-time") => {
             want(2)?;
-            Ok(RejectReason::Malformed(GraphError::BadTimestamp { time: parse_hex64(parts[1])? }))
+            Ok(RejectReason::Malformed(GraphError::BadTimestamp { time: parse_f64(parts[1])? }))
         }
         Some("overflow") => {
             want(3)?;
             Ok(RejectReason::BufferOverflow {
-                time: parse_hex64(parts[1])?,
-                frontier: parse_hex64(parts[2])?,
+                time: parse_f64(parts[1])?,
+                frontier: parse_f64(parts[2])?,
             })
         }
-        _ => Err(format!("builder snapshot: unknown reason `{tok}`")),
+        _ => Err(format!("unknown reason `{tok}`")),
     }
 }
 

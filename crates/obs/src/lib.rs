@@ -22,6 +22,9 @@
 //! * [`snapshot`] — live telemetry: windowed metrics deltas appended as a
 //!   JSONL time series plus a Prometheus-style exposition file atomically
 //!   replaced each tick, driven by an explicit writer or a ticker thread,
+//! * [`codec`] — the bit-exact line codec every text format shares:
+//!   IEEE-754 hex float codecs, `parse_num`, and a [`codec::LineReader`]
+//!   that pops tagged lines and lends multi-line blocks as sub-slices,
 //! * [`vfs`] — the fault-injectable storage layer every durability path
 //!   (checkpoints, journals, spills, telemetry files) goes through: a
 //!   [`vfs::Vfs`] trait with typed errors, `StdVfs`, a seeded `FaultVfs`
@@ -36,6 +39,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod json;
 pub mod metrics;
 pub mod opprof;

@@ -858,6 +858,14 @@ pub fn reset() {
 mod tests {
     use super::*;
 
+    /// The `io.fault.*` counters are process-global, so every test that
+    /// injects faults holds this lock: `ledger_reconciles_with_fault_counters`
+    /// must see only its own faults in the counter deltas.
+    fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tpgnn-vfs-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
@@ -892,6 +900,7 @@ mod tests {
 
     #[test]
     fn fault_schedule_is_deterministic() {
+        let _faults = fault_lock();
         let dir = tmpdir("det");
         let run = |seed: u64| -> (IoFaultLedger, Vec<bool>) {
             let fault = FaultVfs::new(Arc::new(StdVfs), FaultPlan::uniform(seed, 0.1));
@@ -915,6 +924,7 @@ mod tests {
 
     #[test]
     fn path_filter_skips_non_matching_ops_without_consuming_slots() {
+        let _faults = fault_lock();
         let dir = tmpdir("filter");
         let plan = FaultPlan::uniform(3, 1.0).only_files(&["target-"]);
         let fault = FaultVfs::new(Arc::new(StdVfs), plan);
@@ -932,6 +942,7 @@ mod tests {
 
     #[test]
     fn short_write_lands_a_prefix_and_fails() {
+        let _faults = fault_lock();
         let dir = tmpdir("short");
         let plan = FaultPlan::new(11).with(IoFaultKind::ShortWrite, 1.0);
         let fault = FaultVfs::new(Arc::new(StdVfs), plan);
@@ -948,6 +959,7 @@ mod tests {
 
     #[test]
     fn corrupt_read_flips_exactly_one_bit() {
+        let _faults = fault_lock();
         let dir = tmpdir("corrupt");
         let p = dir.join("blob.bin");
         StdVfs.write(&p, b"immaculate-bytes").unwrap();
@@ -967,6 +979,7 @@ mod tests {
 
     #[test]
     fn create_atomic_faults_never_touch_the_final_path() {
+        let _faults = fault_lock();
         let dir = tmpdir("atomic");
         let p = dir.join("state.ckpt");
         StdVfs.write(&p, b"previous-generation").unwrap();
@@ -990,6 +1003,7 @@ mod tests {
 
     #[test]
     fn retry_clears_transient_faults_and_surfaces_fatal_ones() {
+        let _faults = fault_lock();
         let dir = tmpdir("retry");
         // Transient at 100% for the first fault only: attempt 1 faults,
         // attempt 2 passes (cap reached) — the caller never sees an error.
@@ -1022,6 +1036,7 @@ mod tests {
 
     #[test]
     fn ledger_reconciles_with_fault_counters() {
+        let _faults = fault_lock();
         let dir = tmpdir("reconcile");
         let before: Vec<u64> = IoFaultKind::ALL.iter().map(|&k| fault_counter(k)).collect();
         let plan = FaultPlan::uniform(41, 0.15);

@@ -27,6 +27,7 @@
 use std::path::{Path, PathBuf};
 
 use tpgnn_graph::NodeFeatures;
+use tpgnn_obs::codec::parse_num;
 use tpgnn_obs::vfs::{self, Vfs, VfsFile};
 use tpgnn_tensor::ckpt::fnv1a;
 
@@ -356,7 +357,7 @@ fn read_payloads(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<String>, usize), Ser
 fn parse_frame(payload: &str) -> Result<Frame, String> {
     let toks: Vec<&str> = payload.split_whitespace().collect();
     let batch = |i: usize| -> Result<usize, String> {
-        wire::parse_num(toks.get(i).ok_or("truncated frame")?)
+        parse_num(toks.get(i).ok_or("truncated frame")?)
     };
     let trace_tok = |i: usize| -> Result<u64, String> {
         wire::parse_trace(toks.get(i).ok_or("truncated frame")?)
@@ -381,8 +382,8 @@ fn parse_frame(payload: &str) -> Result<Frame, String> {
             Frame::Watchdog {
                 batch: batch(1)?,
                 trace: trace_tok(2)?,
-                session: wire::parse_num(toks[3])?,
-                elapsed_us: wire::parse_num(toks[4])?,
+                session: parse_num(toks[3])?,
+                elapsed_us: parse_num(toks[4])?,
             }
         }
         other => return Err(format!("unknown frame tag {other:?}")),
@@ -423,11 +424,11 @@ pub fn load_with(vfs: &dyn Vfs, dir: &Path, num_shards: usize) -> Result<Journal
             return Err(ServeError::Invariant { detail: format!("bad commit frame `{p}`") });
         }
         let c = Commit {
-            batch: wire::parse_num(toks[1])
+            batch: parse_num(toks[1])
                 .map_err(|e| ServeError::Invariant { detail: e })?,
             kind: BatchKind::from_tag(toks[2])
                 .map_err(|e| ServeError::Invariant { detail: e })?,
-            events: wire::parse_num(toks[3])
+            events: parse_num(toks[3])
                 .map_err(|e| ServeError::Invariant { detail: e })?,
         };
         if c.batch != commits.len() + 1 {

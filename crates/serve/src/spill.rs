@@ -20,11 +20,12 @@ use std::path::{Path, PathBuf};
 use tpgnn_core::SessionState;
 use tpgnn_graph::stream::{CtdnBuilder, StreamConfig};
 use tpgnn_graph::NodeFeatures;
+use tpgnn_obs::codec::{fmt_f32, fmt_f64, parse_f32, parse_f64, parse_num, LineReader};
 use tpgnn_obs::vfs::Vfs;
-use tpgnn_tensor::ckpt::{self, fmt_f32, fmt_f64, parse_f32, parse_f64};
+use tpgnn_tensor::ckpt;
 
 use crate::error::ServeError;
-use crate::wire::parse_num;
+use crate::wire;
 use crate::SessionEntry;
 
 /// Where session `sid`, evicted at `batch`, spills under `dir`.
@@ -75,61 +76,41 @@ pub(crate) fn decode(
     stream_cfg: &StreamConfig,
 ) -> Result<(u64, u64, SessionEntry), ServeError> {
     let bad = |detail: String| ServeError::Invariant { detail: format!("spill file: {detail}") };
-    let mut lines = text.lines();
+    let mut lines = LineReader::new(text);
     let header = lines.next().ok_or_else(|| bad("empty".into()))?;
     if header != "session-spill v2" {
         return Err(bad(format!("bad header `{header}`")));
     }
-    let sid_line = lines.next().ok_or_else(|| bad("missing session line".into()))?;
-    let sid: u64 = sid_line
-        .strip_prefix("session ")
-        .and_then(|t| t.parse().ok())
-        .ok_or_else(|| bad(format!("bad session line `{sid_line}`")))?;
-    let trace_line = lines.next().ok_or_else(|| bad("missing trace line".into()))?;
-    let trace: u64 = trace_line
-        .strip_prefix("trace ")
-        .and_then(|t| u64::from_str_radix(t, 16).ok())
-        .ok_or_else(|| bad(format!("bad trace line `{trace_line}`")))?;
-    let meta = lines.next().ok_or_else(|| bad("missing meta line".into()))?;
-    let mtoks: Vec<&str> = meta.split_whitespace().collect();
-    if mtoks.len() != 4 || mtoks[0] != "meta" {
-        return Err(bad(format!("bad meta line `{meta}`")));
-    }
-    let last_seen = parse_f64(mtoks[1]).map_err(&bad)?;
-    let next_warn: usize = parse_num(mtoks[2]).map_err(&bad)?;
-    let last_active_batch: usize = parse_num(mtoks[3]).map_err(&bad)?;
+    let sid: u64 = parse_num(lines.tagged_n("session", 1).map_err(&bad)?[0]).map_err(&bad)?;
+    let trace = wire::parse_trace(lines.tagged_n("trace", 1).map_err(&bad)?[0]).map_err(&bad)?;
+    let meta = lines.tagged_n("meta", 3).map_err(&bad)?;
+    let last_seen = parse_f64(meta[0]).map_err(&bad)?;
+    let next_warn: usize = parse_num(meta[1]).map_err(&bad)?;
+    let last_active_batch: usize = parse_num(meta[2]).map_err(&bad)?;
 
-    let frow = lines.next().ok_or_else(|| bad("missing features line".into()))?;
-    let ftoks: Vec<&str> = frow.split_whitespace().collect();
-    if ftoks.len() < 3 || ftoks[0] != "features" {
-        return Err(bad(format!("bad features line `{frow}`")));
+    let ftoks = lines.tagged("features").map_err(&bad)?;
+    if ftoks.len() < 2 {
+        return Err(bad(format!("bad features line `{ftoks:?}`")));
     }
     let (n, d): (usize, usize) =
-        (parse_num(ftoks[1]).map_err(&bad)?, parse_num(ftoks[2]).map_err(&bad)?);
-    if ftoks.len() != 3 + n * d {
+        (parse_num(ftoks[0]).map_err(&bad)?, parse_num(ftoks[1]).map_err(&bad)?);
+    if ftoks.len() != 2 + n * d {
         return Err(bad(format!("features line wants {} values", n * d)));
     }
-    let data = ftoks[3..]
+    let data = ftoks[2..]
         .iter()
         .map(|t| parse_f32(t))
         .collect::<Result<Vec<f32>, _>>()
         .map_err(&bad)?;
     let features = NodeFeatures::from_vec(n, d, data);
 
-    let mut read_block = |tag: &str| -> Result<String, ServeError> {
-        let head = lines.next().ok_or_else(|| bad(format!("missing `{tag}` block")))?;
-        let count: usize = head
-            .strip_prefix(tag)
-            .and_then(|t| t.trim().parse().ok())
-            .ok_or_else(|| bad(format!("bad `{tag}` header `{head}`")))?;
-        let mut block = String::new();
-        for i in 0..count {
-            let line =
-                lines.next().ok_or_else(|| bad(format!("`{tag}` truncated at line {i}")))?;
-            block.push_str(line);
-            block.push('\n');
-        }
-        Ok(block)
+    // The builder and state blocks go to their decoders as borrowed
+    // sub-slices of `text`: restores run on every evicted session's return.
+    let mut read_block = |tag: &str| -> Result<&str, ServeError> {
+        let count: usize = parse_num(lines.tagged_n(tag, 1).map_err(&bad)?[0]).map_err(&bad)?;
+        lines
+            .take_lines(count)
+            .ok_or_else(|| bad(format!("`{tag}` block truncated (want {count} lines)")))
     };
     let builder_text = read_block("builder")?;
     let state_text = read_block("state")?;
@@ -138,9 +119,9 @@ pub(crate) fn decode(
     // restored builder must advance the model state the same way.
     let mut stream_cfg = stream_cfg.clone();
     stream_cfg.track_releases = true;
-    let builder = CtdnBuilder::restore(features, stream_cfg, &builder_text)
+    let builder = CtdnBuilder::restore(features, stream_cfg, builder_text)
         .map_err(|e| bad(format!("builder: {e}")))?;
-    let state = SessionState::restore(&state_text).map_err(|e| bad(format!("state: {e}")))?;
+    let state = SessionState::restore(state_text).map_err(|e| bad(format!("state: {e}")))?;
     Ok((sid, trace, SessionEntry { builder, state, last_seen, next_warn, last_active_batch }))
 }
 

@@ -1,7 +1,7 @@
 //! Single-line wire codecs for journal frames and snapshot rows.
 //!
 //! Every float travels as its IEEE-754 bit pattern (via the shared
-//! `tpgnn_tensor::ckpt` codecs), so scores, event times, and the NaN
+//! `tpgnn_obs::codec` codecs), so scores, event times, and the NaN
 //! payloads of quarantined records all round-trip bitwise — the property
 //! the crash-recovery self-check depends on: a replayed [`ScoreRecord`]
 //! must re-encode to exactly the journaled frame. Trace ids travel as
@@ -16,17 +16,10 @@ use tpgnn_graph::stream::{
     QuarantineLog, QuarantinedEvent, RejectReason, StreamEvent, StreamStats,
 };
 use tpgnn_graph::NodeFeatures;
-use tpgnn_tensor::ckpt::{fmt_f32, fmt_f64, parse_f32, parse_f64};
+use tpgnn_obs::codec::{fmt_f32, fmt_f64, parse_f32, parse_f64, parse_num};
 
 use crate::error::{FaultKind, SessionFault};
 use crate::{ScoreKind, ScoreRecord, SessionEvent};
-
-pub(crate) fn parse_num<T: std::str::FromStr>(tok: &str) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    tok.parse().map_err(|e| format!("bad number `{tok}`: {e}"))
-}
 
 pub(crate) fn parse_trace(tok: &str) -> Result<u64, String> {
     u64::from_str_radix(tok, 16).map_err(|e| format!("bad trace id `{tok}`: {e}"))

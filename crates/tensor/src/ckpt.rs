@@ -6,8 +6,8 @@
 //! write-to-temp → fsync → atomic-rename protocol that leaves either the
 //! previous file or the complete new one after a crash — never a torn one.
 //!
-//! The module also provides the bit-exact float codecs every wire format in
-//! the workspace uses: floats serialized as fixed-width hex bit patterns,
+//! The module also re-exports the bit-exact float codecs of
+//! `tpgnn_obs::codec`: floats serialized as fixed-width hex bit patterns,
 //! so NaN payloads, signed zeros, and subnormals all round-trip bitwise
 //! (plain `Display`/`parse` canonicalizes NaNs, which would break the
 //! serving layer's bitwise recovery contract for quarantined events).
@@ -15,6 +15,8 @@
 use std::path::Path;
 
 use tpgnn_obs::vfs::{self, Vfs, VfsError};
+
+pub use tpgnn_obs::codec::{fmt_f32, fmt_f64, parse_f32, parse_f64};
 
 /// Typed failure modes of checkpoint persistence and restore.
 #[derive(Debug)]
@@ -137,30 +139,6 @@ pub fn read_atomic_with(vfs: &dyn Vfs, path: &Path) -> Result<String, Checkpoint
         )));
     }
     Ok(body.to_string())
-}
-
-/// Bit-exact `f32` encoding: 8 hex digits of the IEEE-754 bit pattern.
-pub fn fmt_f32(v: f32) -> String {
-    format!("{:08x}", v.to_bits())
-}
-
-/// Decode [`fmt_f32`] output.
-pub fn parse_f32(tok: &str) -> Result<f32, String> {
-    u32::from_str_radix(tok, 16)
-        .map(f32::from_bits)
-        .map_err(|e| format!("bad f32 bits `{tok}`: {e}"))
-}
-
-/// Bit-exact `f64` encoding: 16 hex digits of the IEEE-754 bit pattern.
-pub fn fmt_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Decode [`fmt_f64`] output.
-pub fn parse_f64(tok: &str) -> Result<f64, String> {
-    u64::from_str_radix(tok, 16)
-        .map(f64::from_bits)
-        .map_err(|e| format!("bad f64 bits `{tok}`: {e}"))
 }
 
 #[cfg(test)]

@@ -21,6 +21,13 @@ echo "== cargo test -q (offline) =="
 cargo test -q --workspace --offline
 
 echo
+echo "== frozen benchmark package: build + test (offline) =="
+# benchmark/ is a standalone package outside the workspace that compiles
+# against the library API (TpGnn, IncrementalScorer, ServeConfig, ...); a
+# change that breaks that surface or its smoke test fails here.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo
 echo "== cross-thread-count determinism (TPGNN_THREADS=1 vs 4) =="
 # The parallel execution layer guarantees bitwise-identical results at any
 # pool width; run the determinism suite under both a forced-sequential and

@@ -257,3 +257,94 @@ fn forum_java_simulator_is_seed_deterministic() {
         "distinct seeds produced identical sessions"
     );
 }
+
+/// Small fixed graphs for the golden-bits test: a chain, a revisit cycle
+/// with a timestamp tie, and an edgeless graph.
+fn golden_graphs() -> Vec<Ctdn> {
+    let mut graphs = Vec::new();
+    for (n, edges) in [
+        (4, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 3, 3.5)]),
+        (5, vec![(0, 1, 0.5), (1, 0, 1.5), (2, 3, 1.5), (3, 4, 2.0), (4, 0, 7.25), (0, 1, 9.0)]),
+        (3, vec![]),
+    ] {
+        let mut feats = tpgnn_graph::NodeFeatures::zeros(n, 3);
+        for v in 0..n {
+            let s = 0.37 * (v + n) as f32;
+            feats.row_mut(v).copy_from_slice(&[s.sin(), s.cos(), 0.25 * v as f32]);
+        }
+        let mut g = Ctdn::new(feats);
+        for (src, dst, time) in edges {
+            g.try_add_edge(src, dst, time).unwrap();
+        }
+        graphs.push(g);
+    }
+    graphs
+}
+
+/// Golden bits: fixed `predict_proba` outputs and per-epoch training losses,
+/// pinned as IEEE-754 bit patterns. Every other contract in this file
+/// compares one run against another run of the same build, so a change
+/// that moved the batch and incremental arithmetic together would pass
+/// them all; this one compares against recorded values. The bits are
+/// those of x86-64 Linux builds (`tanh`/`exp` come from the platform
+/// libm). A change that alters the model's outputs on purpose must update
+/// these constants and say why.
+#[test]
+fn golden_output_and_loss_bits_are_pinned() {
+    use tpgnn_core::{AblationVariant, PropagationKind, Readout};
+
+    let configs: [(&str, TpGnnConfig, [u32; 3]); 6] = [
+        ("sum", TpGnnConfig::sum(3).with_seed(5), [0x3ef6_a901, 0x3ef1_3687, 0x3f00_0000]),
+        ("gru", TpGnnConfig::gru(3).with_seed(5), [0x3ece_6d05, 0x3ebb_f1d4, 0x3f00_0000]),
+        (
+            "temp",
+            AblationVariant::Temp.apply(TpGnnConfig::sum(3).with_seed(5)),
+            [0x3ef3_b71a, 0x3ee9_fcc6, 0x3efc_d1ce],
+        ),
+        (
+            "gru temp",
+            AblationVariant::Temp.apply(TpGnnConfig::gru(3).with_seed(5)),
+            [0x3eda_c90a, 0x3edb_27fd, 0x3ed8_15aa],
+        ),
+        (
+            "w/o tem",
+            {
+                let mut c = TpGnnConfig::sum(3).with_seed(5);
+                c.propagation = PropagationKind::None;
+                c
+            },
+            [0x3f08_5abf, 0x3f02_ee5b, 0x3f00_0000],
+        ),
+        (
+            "transformer readout",
+            {
+                let mut c = TpGnnConfig::sum(3).with_seed(5);
+                c.readout = Readout::TransformerExtractor;
+                c
+            },
+            [0x3f10_ea4f, 0x3f0e_d0e0, 0x3f00_0000],
+        ),
+    ];
+    for (label, cfg, want) in configs {
+        let mut model = TpGnn::new(cfg);
+        let got: Vec<u32> =
+            golden_graphs().iter_mut().map(|g| model.predict_proba(g).to_bits()).collect();
+        assert_eq!(got, want, "{label}: predict_proba bits moved");
+    }
+
+    let train = forum_java_corpus(2024, 2);
+    for (label, cfg, want) in [
+        ("sum", TpGnnConfig::sum(3).with_seed(11), [0x3f44_1ea2, 0x3f42_052a, 0x3f37_1e30]),
+        ("gru", TpGnnConfig::gru(3).with_seed(11), [0x3f39_efc2, 0x3f34_1a1a, 0x3f33_5690]),
+    ] {
+        let mut model = TpGnn::new(cfg);
+        let losses = tpgnn_core::train(
+            &mut model,
+            &train,
+            &TrainConfig { epochs: 3, shuffle_ties: true, seed: 11 },
+        )
+        .epoch_losses;
+        let got: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(got, want, "{label}: training loss bits moved");
+    }
+}

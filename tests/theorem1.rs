@@ -27,7 +27,8 @@ fn random_ctdn(n: usize, edges: &[(usize, usize, u32)]) -> Ctdn {
 
 fn node_embeddings(tp: &TemporalPropagation, store: &ParamStore, g: &mut Ctdn) -> Vec<Tensor> {
     let mut tape = Tape::new();
-    let h = tp.forward(&mut tape, store, g);
+    let edges = g.edges_chronological().to_vec();
+    let h = tp.forward(&mut tape, store, g.features(), &edges);
     h.iter().map(|&hv| tape.value(hv).clone()).collect()
 }
 
